@@ -18,8 +18,9 @@
 //     watcher-based Retry (park on full/empty, wake on commit); every
 //     produced value must be consumed exactly once and in per-producer
 //     order, and no consumer may sleep through a wakeup;
-//   - scanner: transfer writers hammer a conserved keyspace while
-//     snapshot transactions (stm.AtomicSnapshot) sum it end to end;
+//   - scanner: transfer writers (about 1 in 16 serial) hammer a
+//     conserved keyspace while snapshot transactions
+//     (stm.AtomicSnapshot) sum it end to end;
 //     every scan must observe one consistent cut (the conserved total),
 //     whether it was served from version chains or fell back to the
 //     validating path, and the snapshot machinery must actually have
@@ -679,7 +680,8 @@ func tortureWatcher(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 }
 
 // tortureScanner hammers snapshot reads: most threads run transfer
-// writers over a conserved keyspace (plus occasional StoreDirect
+// writers over a conserved keyspace (about 1 in 16 of them serial, so
+// irrevocable commits face the scanners too, plus occasional StoreDirect
 // publishes to a side var, which chain versions outside any
 // transaction), while the rest repeatedly sum the whole keyspace in
 // snapshot mode. Every scan must see one consistent cut — the conserved
@@ -730,7 +732,7 @@ func tortureScanner(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 			return
 		}
 		amt := int(rng(50)) + 1
-		_ = rt.Atomic(func(tx *stm.Tx) error {
+		transfer := func(tx *stm.Tx) error {
 			f := keys[from].Get(tx)
 			if f < amt {
 				return nil
@@ -738,7 +740,12 @@ func tortureScanner(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 			keys[from].Set(tx, f-amt)
 			keys[to].Set(tx, keys[to].Get(tx)+amt)
 			return nil
-		})
+		}
+		if rng(16) == 0 {
+			_ = rt.AtomicSerial(transfer)
+		} else {
+			_ = rt.Atomic(transfer)
+		}
 		if rng(32) == 0 {
 			side.StoreDirect(rt, int(rng(1<<20)))
 		}

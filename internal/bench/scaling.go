@@ -220,7 +220,7 @@ const (
 // pre-sized map. Writers touch one bucket each; no size movement.
 func setupMapRead(threads int) (*stm.Runtime, func(uint64)) {
 	rt := stm.NewDefault()
-	m := ds.NewHashMap[int](scalingBuckets)
+	m := ds.NewHashMap[int64, int](scalingBuckets)
 	populate(rt, m, scalingKeyspace)
 	return rt, func(n uint64) {
 		runParallel(threads, n, func(g int, per uint64) {
@@ -250,7 +250,7 @@ func setupMapRead(threads int) (*stm.Runtime, func(uint64)) {
 // toggles conflict only on genuine same-stripe collisions.
 func setupMapWrite(threads int) (*stm.Runtime, func(uint64)) {
 	rt := stm.NewDefault()
-	m := ds.NewHashMap[int](scalingBuckets)
+	m := ds.NewHashMap[int64, int](scalingBuckets)
 	populate(rt, m, scalingKeyspace/2)
 	return rt, func(n uint64) {
 		runParallel(threads, n, func(g int, per uint64) {
@@ -285,7 +285,7 @@ func setupMapWrite(threads int) (*stm.Runtime, func(uint64)) {
 func setupResizeStorm(threads int) (*stm.Runtime, func(uint64)) {
 	rt := stm.NewDefault()
 	return rt, func(n uint64) {
-		m := ds.NewHashMap[int](16)
+		m := ds.NewHashMap[int64, int](16)
 		runParallel(threads, n, func(g int, per uint64) {
 			base := int64(g) << 40
 			for i := uint64(0); i < per; i++ {
@@ -299,7 +299,7 @@ func setupResizeStorm(threads int) (*stm.Runtime, func(uint64)) {
 	}
 }
 
-func populate(rt *stm.Runtime, m *ds.HashMap[int], n int) {
+func populate(rt *stm.Runtime, m *ds.HashMap[int64, int], n int) {
 	const chunk = 256
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk

@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -124,7 +125,7 @@ func TestListOracleProperty(t *testing.T) {
 
 func TestHashMapBasic(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[string](16)
+	m := NewHashMap[int64, string](16)
 	atomically(t, rt, func(tx *stm.Tx) {
 		if !m.Put(tx, 1, "one") {
 			t.Error("new key reported as existing")
@@ -150,7 +151,7 @@ func TestHashMapBasic(t *testing.T) {
 
 func TestHashMapRange(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[int](16)
+	m := NewHashMap[int64, int](16)
 	atomically(t, rt, func(tx *stm.Tx) {
 		for i := int64(0); i < 20; i++ {
 			m.Put(tx, i, int(i*10))
@@ -182,7 +183,7 @@ func TestHashMapRange(t *testing.T) {
 
 func TestHashMapConcurrent(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[int](64)
+	m := NewHashMap[int64, int](64)
 	var wg sync.WaitGroup
 	const workers, per = 8, 100
 	for w := 0; w < workers; w++ {
@@ -206,8 +207,69 @@ func TestHashMapConcurrent(t *testing.T) {
 	}
 }
 
+// Overwriting a key with an equal value must leave the bucket untouched:
+// no chain rebuild, no version bump, so concurrent readers of the chain
+// are not invalidated.
+func TestHashMapNoopPutSkipsBucketWrite(t *testing.T) {
+	t.Run("string", func(t *testing.T) { testNoopPut(t, "a", "b", "1", "9") })
+	t.Run("int", func(t *testing.T) { testNoopPut[int64, int](t, 1, 2, 10, 90) })
+}
+
+func testNoopPut[K, V comparable](t *testing.T, k, other K, v, v2 V) {
+	rt := stm.NewDefault()
+	m := NewHashMap[K, V](64)
+	put := func(k K, v V) { atomically(t, rt, func(tx *stm.Tx) { m.Put(tx, k, v) }) }
+	put(k, v)
+	put(other, v2) // same map, exercises chains too
+	b := m.table.Load().bucketFor(m.hash(k))
+	ver := b.Version()
+
+	put(k, v) // equal value: must be a pure read
+	if got := b.Version(); got != ver {
+		t.Fatalf("no-op put bumped bucket version: %d -> %d", ver, got)
+	}
+	put(k, v2) // real overwrite: must bump
+	if got := b.Version(); got == ver {
+		t.Fatal("real overwrite did not bump bucket version")
+	}
+	var got V
+	var ok bool
+	atomically(t, rt, func(tx *stm.Tx) { got, ok = m.Get(tx, k) })
+	if !ok || got != v2 {
+		t.Fatalf("Get(%v) = (%v, %v), want %v", k, got, ok, v2)
+	}
+}
+
+func TestHashMapDeleteSemantics(t *testing.T) {
+	rt := stm.NewDefault()
+	m := NewHashMap[string, string](16)
+	atomically(t, rt, func(tx *stm.Tx) {
+		for i := 0; i < 20; i++ {
+			m.Put(tx, fmt.Sprintf("k%02d", i), "v")
+		}
+		if m.Delete(tx, "absent") {
+			t.Error("delete of absent key reported true")
+		}
+		if !m.Delete(tx, "k07") {
+			t.Error("delete of present key reported false")
+		}
+		if m.Delete(tx, "k07") {
+			t.Error("double delete reported true")
+		}
+		if n := m.Len(tx); n != 19 {
+			t.Errorf("Len = %d, want 19", n)
+		}
+		if _, ok := m.Get(tx, "k07"); ok {
+			t.Error("deleted key still present")
+		}
+		if _, ok := m.Get(tx, "k08"); !ok {
+			t.Error("neighbor key lost by delete")
+		}
+	})
+}
+
 func TestHashMapMinBuckets(t *testing.T) {
-	m := NewHashMap[int](1)
+	m := NewHashMap[int64, int](1)
 	if m.BucketCount() != 16 {
 		t.Errorf("bucket floor = %d", m.BucketCount())
 	}
@@ -217,7 +279,7 @@ func TestHashMapMinBuckets(t *testing.T) {
 func TestHashMapOracleProperty(t *testing.T) {
 	rt := stm.NewDefault()
 	f := func(ops []int16) bool {
-		m := NewHashMap[int16](32)
+		m := NewHashMap[int64, int16](32)
 		oracle := map[int64]int16{}
 		for i, op := range ops {
 			k := int64(op % 32)

@@ -2,6 +2,7 @@ package ds
 
 import (
 	"context"
+	"hash/maphash"
 	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
@@ -11,7 +12,10 @@ import (
 	"deferstm/internal/stm"
 )
 
-// HashMap is a transactional hash map built for multicore scaling:
+// HashMap is a transactional hash map built for multicore scaling. Keys
+// hash through one per-map seeded maphash, so any comparable key type
+// works; values must be comparable so an overwrite with an equal value
+// can skip the bucket write (see Put).
 //
 //   - Per-bucket chain Vars with immutable nodes, so operations on
 //     different buckets never conflict.
@@ -32,9 +36,10 @@ import (
 // what makes the deferred rehash's direct stores safe: any transaction
 // that could observe an intermediate table conflicts with the lock
 // acquisition and aborts.
-type HashMap[V any] struct {
+type HashMap[K comparable, V comparable] struct {
 	core.Deferrable
-	table    stm.Var[*hmTable[V]]
+	seed     maphash.Seed
+	table    stm.Var[*hmTable[K, V]]
 	resizing stm.Var[bool] // a resize is triggered or in progress
 	stripes  []sizeStripe
 	resizes  atomic.Uint64 // completed resizes (diagnostics/tests)
@@ -46,9 +51,9 @@ type HashMap[V any] struct {
 // old[frontier:] are the chains not yet moved: a key whose old index is
 // >= frontier still lives in old, everything else lives in buckets. Each
 // migrated chunk installs a fresh hmTable with an advanced frontier.
-type hmTable[V any] struct {
-	buckets  []stm.Var[*mapNode[V]]
-	old      []stm.Var[*mapNode[V]]
+type hmTable[K comparable, V comparable] struct {
+	buckets  []stm.Var[*mapNode[K, V]]
+	old      []stm.Var[*mapNode[K, V]]
 	frontier int
 }
 
@@ -59,10 +64,10 @@ type sizeStripe struct {
 	_ [96]byte // sizeof(stm.Var[int]) == 32; pad to 128
 }
 
-type mapNode[V any] struct {
-	key  int64
+type mapNode[K comparable, V comparable] struct {
+	key  K
 	val  V
-	next *mapNode[V]
+	next *mapNode[K, V]
 }
 
 const (
@@ -79,12 +84,12 @@ const (
 )
 
 // NewHashMap creates a map with nBuckets buckets (minimum 16).
-func NewHashMap[V any](nBuckets int) *HashMap[V] {
+func NewHashMap[K comparable, V comparable](nBuckets int) *HashMap[K, V] {
 	if nBuckets < minBuckets {
 		nBuckets = minBuckets
 	}
-	m := &HashMap[V]{stripes: make([]sizeStripe, stripeCount())}
-	m.table.Init(&hmTable[V]{buckets: make([]stm.Var[*mapNode[V]], nBuckets)})
+	m := &HashMap[K, V]{seed: maphash.MakeSeed(), stripes: make([]sizeStripe, stripeCount())}
+	m.table.Init(&hmTable[K, V]{buckets: make([]stm.Var[*mapNode[K, V]], nBuckets)})
 	return m
 }
 
@@ -98,25 +103,25 @@ func stripeCount() int {
 	return n
 }
 
-func hashKey(k int64) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
+func (m *HashMap[K, V]) hash(k K) uint64 { return maphash.Comparable(m.seed, k) }
 
 // stripeFor picks a size stripe from high hash bits, decorrelated from
 // the bucket index (low bits) so same-stripe and same-bucket conflicts
 // are independent.
-func (m *HashMap[V]) stripeFor(h uint64) *stm.Var[int] {
+func (m *HashMap[K, V]) stripeFor(h uint64) *stm.Var[int] {
 	return &m.stripes[(h>>32)%uint64(len(m.stripes))].n
 }
 
 // view subscribes to the map's lock and returns the current table. The
 // subscription is mandatory before any table access: it orders the
 // transaction against deferred rehash operations.
-func (m *HashMap[V]) view(tx *stm.Tx) *hmTable[V] {
+func (m *HashMap[K, V]) view(tx *stm.Tx) *hmTable[K, V] {
 	m.Subscribe(tx)
 	return m.table.Get(tx)
 }
 
 // bucketFor returns the chain Var holding key hash h under table t.
-func (t *hmTable[V]) bucketFor(h uint64) *stm.Var[*mapNode[V]] {
+func (t *hmTable[K, V]) bucketFor(h uint64) *stm.Var[*mapNode[K, V]] {
 	if t.old != nil {
 		if oi := int(h % uint64(len(t.old))); oi >= t.frontier {
 			return &t.old[oi]
@@ -126,8 +131,8 @@ func (t *hmTable[V]) bucketFor(h uint64) *stm.Var[*mapNode[V]] {
 }
 
 // Get returns the value for k and whether it was present.
-func (m *HashMap[V]) Get(tx *stm.Tx, k int64) (V, bool) {
-	h := hashKey(k)
+func (m *HashMap[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
+	h := m.hash(k)
 	for n := m.view(tx).bucketFor(h).Get(tx); n != nil; n = n.next {
 		if n.key == k {
 			return n.val, true
@@ -141,20 +146,26 @@ func (m *HashMap[V]) Get(tx *stm.Tx, k int64) (V, bool) {
 // Chains are immutable nodes: updates rebuild the chain prefix, so readers
 // of other keys in the same bucket conflict only via the bucket head Var.
 // A single pass over the chain both finds the key and measures the chain.
-func (m *HashMap[V]) Put(tx *stm.Tx, k int64, v V) bool {
+// Overwriting a key with an equal value is a no-op: the bucket is left
+// untouched, so the transaction stays read-only on that bucket, its
+// version does not move, and concurrent readers of the chain are not
+// invalidated.
+func (m *HashMap[K, V]) Put(tx *stm.Tx, k K, v V) bool {
 	t := m.view(tx)
-	h := hashKey(k)
+	h := m.hash(k)
 	b := t.bucketFor(h)
 	head := b.Get(tx)
 	chain := 0
 	for n := head; n != nil; n = n.next {
 		chain++
 		if n.key == k {
-			b.Set(tx, replaceNode(head, k, v))
+			if n.val != v {
+				b.Set(tx, replaceNode(head, k, v))
+			}
 			return false
 		}
 	}
-	b.Set(tx, &mapNode[V]{key: k, val: v, next: head})
+	b.Set(tx, &mapNode[K, V]{key: k, val: v, next: head})
 	s := m.stripeFor(h)
 	s.Set(tx, s.Get(tx)+1)
 	m.maybeGrow(tx, t, chain+1)
@@ -162,18 +173,18 @@ func (m *HashMap[V]) Put(tx *stm.Tx, k int64, v V) bool {
 }
 
 // replaceNode rebuilds chain head..k with k's value replaced.
-func replaceNode[V any](head *mapNode[V], k int64, v V) *mapNode[V] {
+func replaceNode[K comparable, V comparable](head *mapNode[K, V], k K, v V) *mapNode[K, V] {
 	if head.key == k {
-		return &mapNode[V]{key: k, val: v, next: head.next}
+		return &mapNode[K, V]{key: k, val: v, next: head.next}
 	}
-	return &mapNode[V]{key: head.key, val: head.val, next: replaceNode(head.next, k, v)}
+	return &mapNode[K, V]{key: head.key, val: head.val, next: replaceNode(head.next, k, v)}
 }
 
 // Delete removes k, returning whether it was present. One pass: removeNode
 // walks the chain once, rebuilding the prefix only if the key exists.
-func (m *HashMap[V]) Delete(tx *stm.Tx, k int64) bool {
+func (m *HashMap[K, V]) Delete(tx *stm.Tx, k K) bool {
 	t := m.view(tx)
-	h := hashKey(k)
+	h := m.hash(k)
 	b := t.bucketFor(h)
 	nh, ok := removeNode(b.Get(tx), k)
 	if !ok {
@@ -187,7 +198,7 @@ func (m *HashMap[V]) Delete(tx *stm.Tx, k int64) bool {
 
 // removeNode returns the chain with k removed and whether k was found,
 // copying only the prefix before k and only when k is present.
-func removeNode[V any](head *mapNode[V], k int64) (*mapNode[V], bool) {
+func removeNode[K comparable, V comparable](head *mapNode[K, V], k K) (*mapNode[K, V], bool) {
 	if head == nil {
 		return nil, false
 	}
@@ -198,12 +209,12 @@ func removeNode[V any](head *mapNode[V], k int64) (*mapNode[V], bool) {
 	if !ok {
 		return head, false
 	}
-	return &mapNode[V]{key: head.key, val: head.val, next: rest}, true
+	return &mapNode[K, V]{key: head.key, val: head.val, next: rest}, true
 }
 
 // Len returns the number of entries: the transactional sum of the size
 // stripes, exact under serializability.
-func (m *HashMap[V]) Len(tx *stm.Tx) int {
+func (m *HashMap[K, V]) Len(tx *stm.Tx) int {
 	m.Subscribe(tx)
 	total := 0
 	for i := range m.stripes {
@@ -213,7 +224,7 @@ func (m *HashMap[V]) Len(tx *stm.Tx) int {
 }
 
 // Range calls fn for each entry (inside tx) until fn returns false.
-func (m *HashMap[V]) Range(tx *stm.Tx, fn func(k int64, v V) bool) {
+func (m *HashMap[K, V]) Range(tx *stm.Tx, fn func(k K, v V) bool) {
 	t := m.view(tx)
 	for i := range t.buckets {
 		for n := t.buckets[i].Get(tx); n != nil; n = n.next {
@@ -247,15 +258,15 @@ func (m *HashMap[V]) Range(tx *stm.Tx, fn func(k int64, v V) bool) {
 // transaction used to double-observe keys whenever a mid-resize scan
 // was re-run. The buffer costs O(n) memory; fn returning false stops
 // the delivery early (the cut itself is always collected in full).
-func (m *HashMap[V]) SnapshotRange(rt *stm.Runtime, fn func(k int64, v V) bool) error {
+func (m *HashMap[K, V]) SnapshotRange(rt *stm.Runtime, fn func(k K, v V) bool) error {
 	type entry struct {
-		k int64
+		k K
 		v V
 	}
 	var cut []entry
 	err := rt.AtomicSnapshot(func(tx *stm.Tx) error {
 		cut = cut[:0] // re-execution restarts the iteration from scratch
-		m.Range(tx, func(k int64, v V) bool {
+		m.Range(tx, func(k K, v V) bool {
 			cut = append(cut, entry{k: k, v: v})
 			return true
 		})
@@ -273,19 +284,19 @@ func (m *HashMap[V]) SnapshotRange(rt *stm.Runtime, fn func(k int64, v V) bool) 
 }
 
 // Resizes reports how many resizes have completed (snapshot).
-func (m *HashMap[V]) Resizes() uint64 { return m.resizes.Load() }
+func (m *HashMap[K, V]) Resizes() uint64 { return m.resizes.Load() }
 
 // Migrating reports whether a migration is in progress (snapshot).
-func (m *HashMap[V]) Migrating() bool { return m.table.Load().old != nil }
+func (m *HashMap[K, V]) Migrating() bool { return m.table.Load().old != nil }
 
 // BucketCount reports the current bucket array length (snapshot).
-func (m *HashMap[V]) BucketCount() int { return len(m.table.Load().buckets) }
+func (m *HashMap[K, V]) BucketCount() int { return len(m.table.Load().buckets) }
 
 // approxLen sums the stripes non-transactionally. It deliberately avoids
 // Get: reading every stripe into the read set would make each insert
 // conflict with every size movement, recreating the single-counter
 // hotspot. The value is a heuristic used only by the resize trigger.
-func (m *HashMap[V]) approxLen() int {
+func (m *HashMap[K, V]) approxLen() int {
 	total := 0
 	for i := range m.stripes {
 		total += m.stripes[i].n.Load()
@@ -298,7 +309,7 @@ func (m *HashMap[V]) approxLen() int {
 // the resizing flag (so exactly one committed transaction triggers) and
 // defers beginResize under the map lock — the paper's pattern of moving a
 // long operation out of the transaction while keeping it atomic.
-func (m *HashMap[V]) maybeGrow(tx *stm.Tx, t *hmTable[V], chainLen int) {
+func (m *HashMap[K, V]) maybeGrow(tx *stm.Tx, t *hmTable[K, V], chainLen int) {
 	if chainLen <= maxChain || t.old != nil {
 		return
 	}
@@ -317,7 +328,7 @@ func (m *HashMap[V]) maybeGrow(tx *stm.Tx, t *hmTable[V], chainLen int) {
 // migrates the first chunk, and — if chains remain — hands the rest to a
 // background migrator. Direct stores are safe here because every map
 // operation subscribes to the lock this operation holds.
-func (m *HashMap[V]) beginResize(ctx *core.OpCtx) {
+func (m *HashMap[K, V]) beginResize(ctx *core.OpCtx) {
 	t := core.Load(ctx, &m.table)
 	if t.old != nil {
 		return // already migrating (defensive; the resizing flag gates)
@@ -326,7 +337,7 @@ func (m *HashMap[V]) beginResize(ctx *core.OpCtx) {
 	for m.approxLen() > growFactor*newLen {
 		newLen *= 2
 	}
-	nt := &hmTable[V]{buckets: make([]stm.Var[*mapNode[V]], newLen), old: t.buckets}
+	nt := &hmTable[K, V]{buckets: make([]stm.Var[*mapNode[K, V]], newLen), old: t.buckets}
 	if m.migrateChunk(ctx, nt) {
 		go m.migrateLoop(ctx.Runtime())
 	}
@@ -336,7 +347,7 @@ func (m *HashMap[V]) beginResize(ctx *core.OpCtx) {
 // bucket array and installs the advanced-frontier table (or the final
 // table, ending the migration). Must run holding the map lock. Reports
 // whether chains remain.
-func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
+func (m *HashMap[K, V]) migrateChunk(ctx *core.OpCtx, t *hmTable[K, V]) bool {
 	if met := ctx.Runtime().Metrics(); met != nil {
 		defer func(t0 time.Time) { met.ResizeChunk.Observe(time.Since(t0)) }(time.Now())
 	}
@@ -348,18 +359,18 @@ func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
 		for n := core.Load(ctx, &t.old[i]); n != nil; n = n.next {
 			// Rehash into the new array. The target bucket may already
 			// hold keys from other (migrated) old buckets, so prepend.
-			j := hashKey(n.key) % uint64(len(t.buckets))
+			j := m.hash(n.key) % uint64(len(t.buckets))
 			core.Store(ctx, &t.buckets[j],
-				&mapNode[V]{key: n.key, val: n.val, next: core.Load(ctx, &t.buckets[j])})
+				&mapNode[K, V]{key: n.key, val: n.val, next: core.Load(ctx, &t.buckets[j])})
 		}
 	}
 	if end == len(t.old) {
-		core.Store(ctx, &m.table, &hmTable[V]{buckets: t.buckets})
+		core.Store(ctx, &m.table, &hmTable[K, V]{buckets: t.buckets})
 		core.Store(ctx, &m.resizing, false)
 		m.resizes.Add(1)
 		return false
 	}
-	core.Store(ctx, &m.table, &hmTable[V]{buckets: t.buckets, old: t.old, frontier: end})
+	core.Store(ctx, &m.table, &hmTable[K, V]{buckets: t.buckets, old: t.old, frontier: end})
 	return true
 }
 
@@ -370,7 +381,7 @@ func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
 // failed TryAcquire means another owner holds the lock (a user-visible
 // Lock() holder, or a second migrator after back-to-back resizes); we
 // yield and retry, and stop as soon as a table with old == nil is seen.
-func (m *HashMap[V]) migrateLoop(rt *stm.Runtime) {
+func (m *HashMap[K, V]) migrateLoop(rt *stm.Runtime) {
 	if rt.Metrics() != nil {
 		// Label the migrator so goroutine/CPU profiles from the debug
 		// endpoint separate background rehashing from foreground work.
@@ -381,7 +392,7 @@ func (m *HashMap[V]) migrateLoop(rt *stm.Runtime) {
 	m.migrateChunks(rt)
 }
 
-func (m *HashMap[V]) migrateChunks(rt *stm.Runtime) {
+func (m *HashMap[K, V]) migrateChunks(rt *stm.Runtime) {
 	me := rt.NewOwner()
 	for {
 		migrating := false

@@ -14,7 +14,7 @@ import (
 // waitSettled blocks until no migration is in flight and the map lock is
 // free, so tests can inspect final state (and read the history log)
 // without racing the background migrator.
-func waitSettled[V any](t *testing.T, m *HashMap[V]) {
+func waitSettled[K, V comparable](t *testing.T, m *HashMap[K, V]) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for m.Migrating() || m.Lock().OwnerSnapshot() != 0 {
@@ -29,7 +29,7 @@ func waitSettled[V any](t *testing.T, m *HashMap[V]) {
 // every key must survive the (chunked, deferred) migrations.
 func TestHashMapResizeGrows(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[int](16)
+	m := NewHashMap[int64, int](16)
 	const n = 4000
 	for lo := 0; lo < n; lo += 100 {
 		if err := rt.Atomic(func(tx *stm.Tx) error {
@@ -71,7 +71,7 @@ func TestHashMapResizeGrows(t *testing.T) {
 // striped length must stay exact and resizes must not lose entries.
 func TestHashMapStripedLenConcurrent(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[int](16)
+	m := NewHashMap[int64, int](16)
 	const workers, per = 8, 400
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -125,7 +125,7 @@ func runResizeChecked(t *testing.T, seed uint64, workers, opsPerWorker int) {
 			StallSpins:        256,
 		},
 	})
-	m := NewHashMap[int](16)
+	m := NewHashMap[int64, int](16)
 	oracleKeys := int64(opsPerWorker) // per-worker key range; overlapping across workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -39,7 +39,7 @@ func TestSnapshotRangeDuringResize(t *testing.T) {
 	)
 	log := history.New()
 	rt := stm.New(stm.Config{Recorder: log})
-	m := NewHashMap[int64](16)
+	m := NewHashMap[int64, int64](16)
 	if err := rt.Atomic(func(tx *stm.Tx) error {
 		m.Put(tx, epochKey, 0)
 		for k := int64(0); k < accounts; k++ {

@@ -65,6 +65,7 @@ func TestRecorderEventOrdering(t *testing.T) {
 	type txSpan struct {
 		begin, last uint64
 		closed      bool
+		retry       bool // closed by EvAbort(AbortCauseRetry)
 	}
 	tx := map[uint64]*txSpan{}
 	type opSpan struct{ enq, start, end uint64 }
@@ -85,6 +86,11 @@ func TestRecorderEventOrdering(t *testing.T) {
 				tx[ev.TxID] = &txSpan{begin: ev.Seq, last: ev.Seq}
 			case s == nil:
 				t.Fatalf("tx %d emitted %v (Seq %d) before its begin", ev.TxID, ev.Kind, ev.Seq)
+			case s.closed && s.retry && (ev.Kind == stm.EvWatchRegister || ev.Kind == stm.EvWake):
+				// A Retry abort closes the attempt before it registers
+				// its watches and parks; the registration and the wake
+				// that ends the park follow the abort by contract
+				// (record.go), as the retry-wakeup checker rule expects.
 			case s.closed && ev.Kind != stm.EvQuiesceStart && ev.Kind != stm.EvQuiesceEnd:
 				// Only the committer's privatization wait may trail the
 				// commit event (publish first, then quiesce).
@@ -93,6 +99,7 @@ func TestRecorderEventOrdering(t *testing.T) {
 				s.last = ev.Seq
 				if ev.Kind == stm.EvCommit || ev.Kind == stm.EvAbort {
 					s.closed = true
+					s.retry = ev.Kind == stm.EvAbort && ev.Aux == stm.AbortCauseRetry
 				}
 			}
 		}

@@ -266,7 +266,18 @@ func (rt *Runtime) beginSlot() (int, uint64) {
 // ID) order, increment the clock, validate the read set, publish, release.
 // It returns the write version (0 for read-only transactions) and whether
 // the commit succeeded.
+//
+// Serial (irrevocable) attempts commit through the same path, so every
+// writer holds its whole write set locked before drawing wv and
+// publishing — the order the snapshot pin handshake relies on. A serial
+// commit cannot fail: it skips the injected conflict and read-set
+// validation (nothing else was running), and waits out a held lock bit
+// instead of aborting.
 func (tx *Tx) commitWriteBack() (uint64, bool) {
+	var aux uint64
+	if tx.serial {
+		aux = AuxSerial
+	}
 	if len(tx.writes) == 0 {
 		// Read-only: reads were validated incrementally (opacity), so
 		// the transaction is serializable at its read version. If it
@@ -275,16 +286,16 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 		// pre-commit state are done.
 		if len(tx.hooks) != 0 || len(tx.frees) != 0 {
 			wv := tx.rt.clock.Load()
-			tx.flushCommitEvents(0, 0)
+			tx.flushCommitEvents(0, aux)
 			return wv, true
 		}
-		tx.flushCommitEvents(0, 0)
+		tx.flushCommitEvents(0, aux)
 		return 0, true
 	}
 
 	// Injected conflict: behave exactly as if commit-time validation
 	// had failed, exercising the abort/backoff/serialization paths.
-	if tx.rt.inj.hitConflict() {
+	if !tx.serial && tx.rt.inj.hitConflict() {
 		tx.rt.stats.InjectedFaults.Add(1)
 		return 0, false
 	}
@@ -293,12 +304,20 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 	acquired := 0
 	for i := range tx.writes {
 		e := &tx.writes[i]
-		w := e.m.lock.Load()
-		if wordLocked(w) || !e.m.lock.CompareAndSwap(w, w|lockedBit) {
-			tx.releaseLocks(acquired, 0)
-			return 0, false
+		for {
+			w := e.m.lock.Load()
+			if !wordLocked(w) && e.m.lock.CompareAndSwap(w, w|lockedBit) {
+				e.prevW = w
+				break
+			}
+			if !tx.serial {
+				tx.releaseLocks(acquired, 0)
+				return 0, false
+			}
+			// With optimistic transactions drained, only an in-flight
+			// StoreDirect can hold the bit, and it holds no other.
+			spinPause()
 		}
-		e.prevW = w
 		e.m.owner.Store(tx)
 		acquired++
 	}
@@ -310,7 +329,7 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 	// read set cannot have changed. An adopted timestamp (GV4) means
 	// a concurrent writer committed while we held our locks, so the
 	// read set must always be revalidated.
-	if (!own || wv != tx.rv+1) && !tx.validateReads() {
+	if !tx.serial && (!own || wv != tx.rv+1) && !tx.validateReads() {
 		tx.releaseLocks(acquired, 0)
 		return 0, false
 	}
@@ -336,13 +355,17 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 					Owner: tx.owner, Var: e.m.idLoad(), Ver: horizon, Aux: uint64(dropped)})
 			}
 		}
-		e.m.owner.Store(nil)
-		e.m.lock.Store(packVersion(wv))
 	}
 	if truncated > 0 {
 		tx.rt.stats.SnapshotTruncations.Add(truncated)
 	}
-	tx.flushCommitEvents(wv, 0)
+	// Record the commit before unlocking, so nothing can observe the
+	// new values and act on them (a deferred flush acknowledging a
+	// record this commit appended) ahead of the commit's own events.
+	// HTM and serial mode do not quiesce, and nothing else orders the
+	// two.
+	tx.flushCommitEvents(wv, aux)
+	tx.releaseLocks(len(tx.writes), wv)
 	// Injected delay in the publish→wake window: parked readers' data is
 	// already new but their wakeup is still pending.
 	if tx.rt.inj.stallWake() {
@@ -374,7 +397,8 @@ func (tx *Tx) releaseLocks(n int, wv uint64) {
 }
 
 // runSerial executes one attempt in serial (irrevocable) mode: drain every
-// concurrent transaction, run alone, publish without validation.
+// concurrent transaction, run alone, commit through commitWriteBack
+// without validation.
 func (rt *Runtime) runSerial(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 	rt.serialMu.Lock()
 	blocked := make(chan struct{})
@@ -429,48 +453,9 @@ func (rt *Runtime) runSerial(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 		release()
 		return txOutcome{userErr: err}
 	}
-
-	var wv uint64
-	if len(tx.writes) > 0 {
-		wv = tx.rt.clock.Add(1)
-		horizon := rt.snapHorizon.Load()
-		depth := rt.cfg.SnapshotChainDepth
-		var truncated uint64
-		for i := range tx.writes {
-			e := &tx.writes[i]
-			// Serial mode runs alone among transactions holding slots,
-			// but snapshot readers hold none and run concurrently: set
-			// the lock bit around each var's publish so their
-			// spin/double-check protocol sees the store as one atomic
-			// version transition, exactly like an optimistic commit.
-			w := e.m.lock.Load()
-			e.m.lock.Store(w | lockedBit)
-			if dropped := e.v.publish(e.pending, wv, horizon, depth); dropped > 0 {
-				truncated += uint64(dropped)
-				if tx.slow {
-					rt.rec.Record(Event{Kind: EvSnapTruncate, TxID: tx.id,
-						Owner: tx.owner, Var: e.m.idLoad(), Ver: horizon, Aux: uint64(dropped)})
-				}
-			}
-			e.m.lock.Store(packVersion(wv))
-		}
-		if truncated > 0 {
-			rt.stats.SnapshotTruncations.Add(truncated)
-		}
-	}
-	tx.flushCommitEvents(wv, AuxSerial)
+	tx.commitWriteBack() // cannot fail in serial mode
 	tx.active = false
 	release()
-	// Wake watchers after the gate reopens so woken transactions can
-	// begin immediately.
-	if len(tx.writes) > 0 {
-		if rt.inj.stallWake() {
-			rt.stats.InjectedFaults.Add(1)
-		}
-		for i := range tx.writes {
-			tx.writes[i].m.wakeWatchers()
-		}
-	}
 	// No quiesce: nothing else was running.
 	return txOutcome{committed: true}
 }

@@ -92,7 +92,7 @@ func TestHTMTouchNoOpInSTM(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	d := rt.Snapshot().Sub(before)
+	d := rt.Snapshot().Delta(before)
 	if d.AbortsCapacity != 0 {
 		t.Error("HTMTouch aborted an STM transaction")
 	}

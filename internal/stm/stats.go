@@ -314,9 +314,6 @@ func (s StatsSnapshot) Delta(prev StatsSnapshot) StatsSnapshot {
 	}
 }
 
-// Sub is a deprecated alias for Delta.
-func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot { return s.Delta(prev) }
-
 // Aborts returns the total number of aborted attempts of all kinds
 // (excluding user aborts, which are final).
 func (s StatsSnapshot) Aborts() uint64 {

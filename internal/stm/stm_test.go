@@ -526,7 +526,7 @@ func TestStatsCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := rt.Snapshot().Sub(before)
+	d := rt.Snapshot().Delta(before)
 	if d.Commits != 5 {
 		t.Errorf("commits = %d, want 5", d.Commits)
 	}

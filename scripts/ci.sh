@@ -31,36 +31,45 @@ go run ./cmd/stmtorture -duration 2s -threads 8 -mode htm -check -inject -seed 1
 echo "==> retry-storm smoke (watcher workload, injected stall windows)"
 go run ./cmd/stmtorture -duration 2s -threads 8 -workload watcher -check -inject -seed 3
 
-# Snapshot-scanner smoke: writers hammer a conserved keyspace while
-# snapshot transactions sum it, under the race detector (the version
-# chains are lock-free reader-side), with the recorded history verified
-# against the snapshot-consistency axioms (pinned cut, truncation never
-# ahead of a registered reader). A torn cut fails the conservation
-# check; an unsound chain mutation trips the race detector.
+# Snapshot-scanner smoke: writers (about 1 in 16 of them serial)
+# hammer a conserved keyspace while snapshot transactions sum it, under
+# the race detector (the version chains are lock-free reader-side), with
+# the recorded history verified against the snapshot-consistency axioms
+# (pinned cut, truncation never ahead of a registered reader). A torn
+# cut fails the conservation check; an unsound chain mutation trips the
+# race detector.
 echo "==> snapshot-scanner smoke (race detector + history check)"
 go run -race ./cmd/stmtorture -duration 2s -threads 8 -workload scanner -check -seed 5
 
-# The reactive kit (rate limiter, pub/sub) and the blocking queue ops it
-# rides on are all about parking and waking under contention: run their
-# tests under the race detector explicitly, uncached.
-echo "==> reactive-kit tests (race detector, uncached)"
-go test -race -count=1 ./internal/reactive ./internal/ds
+# The race runs below pin -cpu 1,2,4: a parallel-only bug must not hide
+# behind the core count of whichever machine runs CI.
+#
+# The STM runtime (commit publish, serial mode, snapshot pins, watcher
+# parking) under the race detector at every core count, uncached.
+echo "==> stm runtime tests (race detector, uncached, -cpu 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/stm
 
-echo "==> kv crash-recovery smoke (race detector, fixed seeds)"
-go test -race -count=1 -run 'TestCrashRecovery' ./internal/kv
+# The blocking queue ops park and wake under contention, and the hash
+# map resizes by deferred chunked migration: run them under the race
+# detector explicitly, uncached.
+echo "==> ds tests: queues + hash map (race detector, uncached, -cpu 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/ds
 
-# The sharded store's lane routing, cross-shard commit, manifest pinning
-# and crash atomicity are all lock-order-sensitive concurrency: gate them
-# under the race detector explicitly, uncached.
-echo "==> sharded-lane routing + cross-shard atomicity (race detector, uncached)"
-go test -race -count=1 -run 'Sharded|CrossShard|CrossLane|Manifest|LaneRecord|Token|Legacy' ./internal/kv
-go test -race -count=1 -run 'TestShardedKVHistoryDurability' ./internal/check
+# The sharded store's lane routing, cross-shard commit, manifest pinning,
+# crash atomicity and map resize are all lock-order-sensitive
+# concurrency: gate the whole kv package (the seeded crash-recovery
+# tests included) and the checker under the race detector explicitly,
+# uncached.
+echo "==> kv store + history checker (race detector, uncached, -cpu 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/kv
+go test -race -count=1 -cpu 1,2,4 ./internal/check
 
 # The trace exporter and offline checkers both depend on the recorder's
 # ordering contract (per-tx monotone spans, enqueue→start→end for every
-# deferred op); assert it explicitly under the race detector.
-echo "==> recorder ordering + trace export property tests (race detector)"
-go test -race -count=1 -run 'TestRecorderEventOrdering|TestTraceWriterJSON' ./internal/history
+# deferred op); assert it, with the rest of the history package,
+# explicitly under the race detector.
+echo "==> recorder ordering + trace export property tests (race detector, -cpu 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/history
 
 echo "==> kvbench acceptance (group commit must beat sync fsyncs/commit)"
 go run ./cmd/kvbench -threads 4,8 -ops 100 -latency pagecache -modes sync,group >/dev/null
