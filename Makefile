@@ -16,7 +16,7 @@ race:
 # Race gate for the durable store: the WAL group-commit paths and the
 # seeded crash-recovery property tests must be race-clean.
 race-kv:
-	$(GO) test -race -count=1 ./internal/wal ./internal/kv
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/wal ./internal/kv
 
 vet:
 	$(GO) vet ./...
@@ -33,7 +33,7 @@ kvsmoke:
 # Race gate for the networked front end: protocol codecs, pipelined
 # reader/writer pairs, shutdown under load.
 race-server:
-	$(GO) test -race -count=1 ./internal/server
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/server
 
 # Networked smoke by hand: boot kvserver on an ephemeral port and run
 # the kvloadgen connection ladder against it (no crash injection; the

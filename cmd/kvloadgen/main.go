@@ -19,10 +19,10 @@
 // -json writes a bench.StmDoc (schema deferstm/bench/v1), so
 // scripts/benchdiff.go compares kvloadgen runs exactly like stmbench
 // runs. -ackfile records the highest durably-acked LSN per WAL lane for
-// the crash-recovery smoke (a bare decimal for a single-lane server,
-// "lane lsn" lines for a sharded one — the formats kvserver -verify
-// accepts); -tolerate-disconnect makes a mid-run connection
-// loss (the smoke's kill -9) a clean exit instead of a failure.
+// the crash-recovery smoke as "lane lsn" lines — the format kvserver
+// -verify and kvreplica -verify read; -tolerate-disconnect makes a
+// mid-run connection loss (the smoke's kill -9) a clean exit instead of
+// a failure.
 package main
 
 import (
@@ -62,8 +62,7 @@ type rung struct {
 
 // ackTracker records, per WAL lane, the highest LSN the server durably
 // acked to us. Write responses carry lane-tagged tokens
-// (kv.PackToken); a legacy single-lane server's tokens decode as lane
-// 0, so the unsharded path falls out of the same code.
+// (kv.PackToken).
 type ackTracker struct {
 	lanes [kv.MaxShards]atomic.Uint64
 }
@@ -82,9 +81,8 @@ func (a *ackTracker) observe(token uint64) {
 	}
 }
 
-// render emits the ackfile: the legacy bare decimal when only lane 0
-// ever acked (so single-lane smoke artifacts keep their old shape), or
-// one "lane lsn" line per acked lane for a sharded server.
+// render emits the ackfile: one "lane lsn" line for every lane up to
+// the highest one that acked (always at least lane 0).
 func (a *ackTracker) render() string {
 	maxLane := 0
 	for lane := kv.MaxShards - 1; lane > 0; lane-- {
@@ -92,9 +90,6 @@ func (a *ackTracker) render() string {
 			maxLane = lane
 			break
 		}
-	}
-	if maxLane == 0 {
-		return strconv.FormatUint(a.lanes[0].Load(), 10) + "\n"
 	}
 	var sb strings.Builder
 	for lane := 0; lane <= maxLane; lane++ {

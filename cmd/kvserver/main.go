@@ -19,9 +19,10 @@
 //	kvserver -dir D -verify            recover the store, print a JSON
 //	                                   RecoveryInfo summary, exit
 //	kvserver -dir D -verify -ackfile F additionally check the recovered
-//	                                   LSN against the loadgen's record
-//	                                   of acked LSNs via
-//	                                   check.RecoveredPrefix
+//	                                   per-lane LSNs against the
+//	                                   loadgen's "lane lsn" record of
+//	                                   acked LSNs via
+//	                                   check.AckedPrefixLanes
 package main
 
 import (
@@ -187,8 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // check.RecoveredPrefixLanes states this as "nothing acked is lost,
 // nothing unappended is invented", lane by lane.
 //
-// Ackfile formats: one bare decimal (the unsharded legacy format,
-// meaning lane 0), or one "lane lsn" pair per line for a sharded run.
+// Ackfile format: one "lane lsn" pair per line.
 func runVerify(stdout, stderr io.Writer, info *kv.RecoveryInfo, ackfile string) int {
 	summary, _ := json.Marshal(info)
 	fmt.Fprintf(stdout, "%s\n", summary)

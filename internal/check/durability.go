@@ -2,9 +2,9 @@ package check
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
-	"sort"
 
 	"deferstm/internal/stm"
 )
@@ -19,18 +19,18 @@ import (
 //     retreats, and is never published before the record it covers was
 //     committed.
 //
-//   - RecoveredPrefix relates a recovered state to the history it was
-//     recovered from: everything acknowledged durable before the crash
-//     must be present after replay, and the recovered state must be a
-//     prefix of the serialization order — no gap, and nothing beyond
-//     what was ever appended.
+//   - RecoveredPrefixLanes relates a recovered state to the history it
+//     was recovered from: everything acknowledged durable before the
+//     crash must be present after replay, and each lane's recovered
+//     state must be a prefix of its serialization order — no gap, and
+//     nothing beyond what was ever appended.
 
 // RuleDurability names durability violations in reports.
 const RuleDurability = "durability"
 
 type walAppend struct {
 	lsn   uint64
-	gsn   uint64 // global commit sequence number (0 on single-lane logs)
+	gsn   uint64 // global commit sequence number (0 on a bare wal.Log)
 	ver   uint64 // commit version of the appending transaction
 	seq   uint64
 	txID  uint64
@@ -78,10 +78,11 @@ func checkDurability(p *parsed) []Violation {
 				})
 			}
 		}
-		// GSN order must agree with lane LSN order: a multi-lane store
-		// draws each commit's GSN after reserving every touched lane's
-		// LSN, so within one lane ascending LSN ⇒ strictly ascending GSN
-		// (records without a GSN — single-lane logs — are exempt).
+		// GSN order must agree with lane LSN order: the kv store draws
+		// each commit's GSN after reserving every touched lane's LSN, so
+		// within one lane ascending LSN ⇒ strictly ascending GSN
+		// (records without a GSN — appends to a bare wal.Log — are
+		// exempt).
 		var prevG *walAppend
 		for _, a := range sorted {
 			if a.gsn == 0 {
@@ -164,63 +165,6 @@ func checkDurability(p *parsed) []Violation {
 	return out
 }
 
-// RecoveredPrefix checks a recovered state against the pre-crash history
-// it was recovered from: recoveredLastLSN is what recovery reports as the
-// highest LSN its state covers (wal.Recovery.LastLSN / kv's
-// RecoveryInfo.LastLSN). The axiom has two halves:
-//
-//   - completeness: every record acknowledged durable in the history
-//     (any EvWALDurable watermark) is present after replay;
-//   - prefix-ness: the recovered state is a prefix of the serialization
-//     order — it does not extend past the appended history, and every
-//     LSN up to recoveredLastLSN was appended (no holes).
-//
-// The history must contain a single log's WAL events (the usual case:
-// one store per runtime); baseLSN is the LSN the log started at in this
-// history (0 for a log created fresh).
-func RecoveredPrefix(events []stm.Event, baseLSN, recoveredLastLSN uint64) []Violation {
-	var out []Violation
-	acked := uint64(0)
-	appended := make(map[uint64]bool)
-	maxLSN := baseLSN
-	for _, ev := range events {
-		switch ev.Kind {
-		case stm.EvWALAppend:
-			appended[ev.Aux] = true
-			if ev.Aux > maxLSN {
-				maxLSN = ev.Aux
-			}
-		case stm.EvWALDurable:
-			if ev.Aux > acked {
-				acked = ev.Aux
-			}
-		}
-	}
-	if recoveredLastLSN < acked {
-		out = append(out, Violation{
-			Rule: RuleDurability,
-			Msg: fmt.Sprintf("recovery lost acknowledged records: recovered through LSN %d but LSN %d was acked durable",
-				recoveredLastLSN, acked),
-		})
-	}
-	if recoveredLastLSN > maxLSN {
-		out = append(out, Violation{
-			Rule: RuleDurability,
-			Msg: fmt.Sprintf("recovered state (through LSN %d) extends past the appended history (through LSN %d) — not a prefix",
-				recoveredLastLSN, maxLSN),
-		})
-	}
-	for lsn := baseLSN + 1; lsn <= recoveredLastLSN; lsn++ {
-		if !appended[lsn] {
-			out = append(out, Violation{
-				Rule: RuleDurability,
-				Msg:  fmt.Sprintf("recovered state covers LSN %d, which no committed transaction appended — not a prefix of the serialization order", lsn),
-			})
-		}
-	}
-	return out
-}
-
 // RecoveredLane names one WAL lane's recovery cut for
 // RecoveredPrefixLanes: LogVar is the lane's log lock variable in the
 // events, BaseLSN the LSN the lane started at in this history (0 for a
@@ -232,13 +176,17 @@ type RecoveredLane struct {
 	LastLSN uint64
 }
 
-// RecoveredPrefixLanes is RecoveredPrefix for a sharded store: the
-// history holds several lanes' WAL events, distinguished by log lock
-// variable, and the recovered state names a cut per lane. Three axioms:
+// RecoveredPrefixLanes checks a recovered store against the pre-crash
+// history it was recovered from. The history holds every lane's WAL
+// events, distinguished by log lock variable, and the recovered state
+// names a cut per lane (recovery's per-lane LastLSN). The axioms:
 //
-//   - per lane, the single-log prefix axioms hold (nothing acked lost,
-//     no extension past the appended history, no holes — lanes recover
-//     by tail truncation, never by hole-punching);
+//   - completeness, per lane: every record acknowledged durable in the
+//     history (any EvWALDurable watermark) is present after replay;
+//   - prefix-ness, per lane: the recovered state does not extend past
+//     the appended history, and every LSN up to the cut was appended
+//     (no holes — lanes recover by tail truncation, never by
+//     hole-punching);
 //   - cross-shard commits (several EvWALAppend sharing a TxID and a
 //     GSN) are atomic across the cuts: all of a commit's records are
 //     inside their lanes' cuts, or all are outside. A half-recovered
@@ -374,43 +322,33 @@ func AckedPrefixLanes(acked, held []uint64) []Violation {
 	return RecoveredPrefixLanes(events, lanes)
 }
 
-// ParseAckfile reads a loadgen ack record: either one bare decimal (the
-// unsharded legacy format, meaning lane 0) or one "lane lsn" pair per
-// line, returning the max durably-acked LSN per lane. Both kvserver
+// ParseAckfile reads a loadgen ack record — one "lane lsn" pair per
+// line — returning the max durably-acked LSN per lane. Both kvserver
 // -verify (against recovery) and kvreplica -verify (against the applied
 // cursors) feed the result to AckedPrefixLanes.
 func ParseAckfile(content string, lanes int) ([]uint64, error) {
 	acked := make([]uint64, lanes)
 	for _, line := range strings.Split(strings.TrimSpace(content), "\n") {
 		fields := strings.Fields(line)
-		switch len(fields) {
-		case 0:
+		if len(fields) == 0 {
 			continue
-		case 1:
-			lsn, err := strconv.ParseUint(fields[0], 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			if lsn > acked[0] {
-				acked[0] = lsn
-			}
-		case 2:
-			lane, err := strconv.Atoi(fields[0])
-			if err != nil {
-				return nil, err
-			}
-			if lane < 0 || lane >= lanes {
-				return nil, fmt.Errorf("ack for lane %d of a %d-lane store", lane, lanes)
-			}
-			lsn, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			if lsn > acked[lane] {
-				acked[lane] = lsn
-			}
-		default:
-			return nil, fmt.Errorf("bad ackfile line %q", line)
+		}
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("bad ackfile line %q (want \"lane lsn\")", line)
+		}
+		lane, err := strconv.Atoi(fields[0])
+		if err != nil {
+			return nil, err
+		}
+		if lane < 0 || lane >= lanes {
+			return nil, fmt.Errorf("ack for lane %d of a %d-lane store", lane, lanes)
+		}
+		lsn, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		if lsn > acked[lane] {
+			acked[lane] = lsn
 		}
 	}
 	return acked, nil

@@ -56,7 +56,7 @@ func crashScenario(t *testing.T, mode Mode, point simio.CrashPoint, n uint64, se
 	// acknowledged durable before the crash, so it must survive recovery.
 	var acked atomic.Uint64
 	fs.SetCrashPlan(simio.CrashPlan{Point: point, N: n, OnCrash: func() {
-		acked.Store(s.Log().DurableWatermark())
+		acked.Store(s.Logs()[0].DurableWatermark())
 	}})
 
 	const updates = 40

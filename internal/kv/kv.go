@@ -17,25 +17,27 @@
 //
 // # Shards and WAL lanes
 //
-// The key space can be partitioned into N shards (Options.Shards, a
-// power of two), each with its own map partition AND its own WAL lane —
-// a private log with lane-scoped LSNs, its own group-commit leader
+// The key space is partitioned into N shards (Options.Shards, a power
+// of two), each with its own map partition AND its own WAL lane — a
+// private log with lane-scoped LSNs, its own group-commit leader
 // election, and its own durable watermark — so the fsyncs of commits
 // touching different shards run in parallel. Keys route to shards by a
 // fixed FNV-1a hash (deterministic across restarts, so a key's records
-// always live in one lane and per-lane LSN order is per-key order).
+// always live in one lane and per-lane LSN order is per-key order). A
+// 1-shard store is simply a 1-lane store: the same commit path, record
+// format and directory layout as any other shard count.
 //
-// A commit touching one shard takes exactly the unsharded fast path on
-// its lane. A commit touching several shards splits its ops per lane
-// and commits via ONE atomic deferral that acquires every touched
-// lane's TxLock (in ascending lane order) at the commit and flushes the
-// lanes together, publishing no watermark until every lane's fsync has
-// returned. Each of its records is stamped with a global commit
-// sequence number (GSN) and the full lane/LSN vector of the batch, so
-// recovery can tell a complete cross-shard batch from one a crash cut
-// in half — incomplete batches are presumed aborted and their lanes'
-// tails truncated (such records were never acked: acks wait on
-// watermarks the interrupted flush never published).
+// Every record is stamped with a global commit sequence number (GSN)
+// and the full lane/LSN vector of its commit. A commit touching one
+// shard takes its lane's ordinary group-commit path. A commit touching
+// several shards splits its ops per lane and commits via ONE atomic
+// deferral that acquires every touched lane's TxLock (in ascending lane
+// order) at the commit and flushes the lanes together, publishing no
+// watermark until every lane's fsync has returned. The vectors let
+// recovery tell a complete cross-shard batch from one a crash cut in
+// half — incomplete batches are presumed aborted and their lanes' tails
+// truncated (such records were never acked: acks wait on watermarks the
+// interrupted flush never published).
 //
 // Recovery (Open) replays, per lane, the newest checkpoint plus all
 // intact WAL records after it, in LSN order. Because LSNs are assigned
@@ -50,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -91,9 +92,9 @@ type Options struct {
 	Buckets int // hash buckets across the whole store (0 → 1024)
 	// Shards is the number of key-space shards = WAL lanes (power of
 	// two, at most MaxShards). 0 adopts whatever the directory's
-	// manifest records (1 for a fresh or pre-manifest directory); a
-	// nonzero value that disagrees with an existing manifest is an
-	// error — lane routing is baked into the on-disk layout.
+	// manifest records (1 for a fresh directory); a nonzero value that
+	// disagrees with an existing manifest is an error — lane routing is
+	// baked into the on-disk layout.
 	Shards int
 	WAL    wal.Options
 }
@@ -112,10 +113,10 @@ type LaneRecovery struct {
 	TruncatedAt uint64
 }
 
-// RecoveryInfo summarizes what Open replayed. For a multi-lane store
-// the scalar fields aggregate across lanes (CheckpointLSN and LastLSN
-// are sums of the per-lane values — totals of log positions, not
-// single-log watermarks); Lanes carries the per-lane breakdown.
+// RecoveryInfo summarizes what Open replayed. The scalar fields
+// aggregate across lanes (CheckpointLSN and LastLSN are sums of the
+// per-lane values — totals of log positions, not single-log
+// watermarks); Lanes carries the per-lane breakdown.
 type RecoveryInfo struct {
 	CheckpointLSN uint64 // 0 when no checkpoint existed
 	Replayed      int    // WAL records applied after the checkpoint(s)
@@ -143,7 +144,7 @@ type Store struct {
 	mode   Mode
 	shards []shard
 	mask   uint64
-	gsn    atomic.Uint64 // last GSN issued; multi-lane stores only
+	gsn    atomic.Uint64 // last GSN issued
 
 	closeOnce sync.Once
 	closeErr  error
@@ -253,7 +254,7 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 	lanes := len(s.shards)
 	recs := make([]*wal.Recovery, lanes)
 	for i := range s.shards {
-		log, rec, err := wal.Open(s.rt, laneBackend(b, i, lanes), wopts)
+		log, rec, err := wal.Open(s.rt, wal.SubBackend(b, wal.LanePrefix(i)), wopts)
 		if err != nil {
 			return fmt.Errorf("kv: lane %d: %w", i, err)
 		}
@@ -261,41 +262,37 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 		recs[i] = rec
 	}
 
-	var cuts []uint64
-	if lanes > 1 {
-		var err error
-		cuts, err = crossLaneCuts(recs)
+	cuts, err := crossLaneCuts(recs)
+	if err != nil {
+		return err
+	}
+	for i, cut := range cuts {
+		if cut == 0 {
+			continue
+		}
+		// Drop the incomplete batch and the lane's tail after it, then
+		// reopen the lane so LSN assignment resumes below the cut. The
+		// dropped records were never acked (the flush that would have
+		// published their watermark never finished), so presuming them
+		// aborted loses nothing that was promised.
+		for _, r := range recs[i].Records {
+			if r.LSN >= cut {
+				info.SkippedRecords++
+			}
+		}
+		if err := s.shards[i].log.Close(); err != nil {
+			return fmt.Errorf("kv: lane %d: close for truncation: %w", i, err)
+		}
+		lb := wal.SubBackend(b, wal.LanePrefix(i))
+		if err := wal.TruncateTail(lb, recs[i], cut); err != nil {
+			return fmt.Errorf("kv: lane %d: %w", i, err)
+		}
+		log, rec, err := wal.Open(s.rt, lb, wopts)
 		if err != nil {
-			return err
+			return fmt.Errorf("kv: lane %d: reopen after truncation: %w", i, err)
 		}
-		for i, cut := range cuts {
-			if cut == 0 {
-				continue
-			}
-			// Drop the incomplete batch and the lane's tail after it,
-			// then reopen the lane so LSN assignment resumes below the
-			// cut. The dropped records were never acked (the flush that
-			// would have published their watermark never finished), so
-			// presuming them aborted loses nothing that was promised.
-			for _, r := range recs[i].Records {
-				if r.LSN >= cut {
-					info.SkippedRecords++
-				}
-			}
-			if err := s.shards[i].log.Close(); err != nil {
-				return fmt.Errorf("kv: lane %d: close for truncation: %w", i, err)
-			}
-			lb := laneBackend(b, i, lanes)
-			if err := wal.TruncateTail(lb, recs[i], cut); err != nil {
-				return fmt.Errorf("kv: lane %d: %w", i, err)
-			}
-			log, rec, err := wal.Open(s.rt, lb, wopts)
-			if err != nil {
-				return fmt.Errorf("kv: lane %d: reopen after truncation: %w", i, err)
-			}
-			s.shards[i].log = log
-			recs[i] = rec
-		}
+		s.shards[i].log = log
+		recs[i] = rec
 	}
 
 	for i, rec := range recs {
@@ -304,9 +301,7 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 			CheckpointLSN: rec.CheckpointLSN,
 			LastLSN:       rec.LastLSN,
 			TornBytes:     rec.TornBytes,
-		}
-		if cuts != nil {
-			lr.TruncatedAt = cuts[i]
+			TruncatedAt:   cuts[i],
 		}
 		if rec.Checkpoint != nil {
 			kvs, err := decodeSnapshot(rec.Checkpoint)
@@ -327,7 +322,7 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 		// small. The store is not shared yet, so these commit without
 		// contention.
 		for _, r := range rec.Records {
-			ops, gsn, err := s.decodePayload(r.Payload)
+			gsn, _, ops, err := decodeLaneRecord(r.Payload)
 			if err != nil {
 				return fmt.Errorf("kv: lane %d record %d: %w", i, r.LSN, err)
 			}
@@ -353,18 +348,6 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 	return nil
 }
 
-// decodePayload parses one lane record: multi-lane stores carry the
-// GSN+vector header, single-lane stores the bare op list (byte-identical
-// to the pre-lane format).
-func (s *Store) decodePayload(payload []byte) ([]Op, uint64, error) {
-	if len(s.shards) == 1 {
-		ops, err := DecodeOps(payload)
-		return ops, 0, err
-	}
-	gsn, _, ops, err := decodeLaneRecord(payload)
-	return ops, gsn, err
-}
-
 // crossLaneCuts decides, per lane, the first LSN to drop: the lane's
 // earliest record of a cross-shard batch missing a sibling. A sibling
 // point is satisfied if its lane recovered that LSN below its own cut,
@@ -384,11 +367,10 @@ func crossLaneCuts(recs []*wal.Recovery) ([]uint64, error) {
 	for i, r := range recs {
 		present[i] = make(map[uint64]bool, len(r.Records))
 		for _, rr := range r.Records {
-			gsn, pts, _, err := decodeLaneRecord(rr.Payload)
+			_, pts, _, err := decodeLaneRecord(rr.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("kv: lane %d record %d: %w", i, rr.LSN, err)
 			}
-			_ = gsn
 			for _, p := range pts {
 				if p.Lane < 0 || p.Lane >= len(recs) {
 					return nil, fmt.Errorf("kv: lane %d record %d: vector names lane %d of %d", i, rr.LSN, p.Lane, len(recs))
@@ -449,21 +431,14 @@ func applyOps(tx *stm.Tx, m *ds.HashMap[string, string], ops []Op) {
 // reads its own writes) and is recorded — per touched shard — for the
 // commit's WAL record(s).
 type Batch struct {
-	s  *Store
-	tx *stm.Tx
-	n  int
-	// single holds the ops of a 1-shard store (the unsharded layout);
-	// perShard, indexed by shard, those of a sharded one.
-	single   []Op
-	perShard [][]Op
+	s        *Store
+	tx       *stm.Tx
+	n        int
+	perShard [][]Op // the ops, indexed by shard
 }
 
 func (b *Batch) add(sh int, op Op) {
 	b.n++
-	if len(b.s.shards) == 1 {
-		b.single = append(b.single, op)
-		return
-	}
 	if b.perShard == nil {
 		b.perShard = make([][]Op, len(b.s.shards))
 	}
@@ -501,14 +476,12 @@ func (b *Batch) touched() []int {
 			t = append(t, sh)
 		}
 	}
-	sort.Ints(t)
 	return t
 }
 
 // Update runs fn as one atomic, durable mutation of the store and
 // returns a durability token for its WAL record(s) — 0 for a read-only
-// fn or in ModeNone. On a single-shard store the token is the plain
-// LSN; on a sharded store it packs the home lane (the lowest touched
+// fn or in ModeNone. The token packs the home lane (the lowest touched
 // lane) and that lane's LSN (see PackToken). In ModeGroup the token is
 // not yet durable on return — call WaitDurable(token) for a synchronous
 // guarantee; waiting on a cross-shard commit's token covers the whole
@@ -529,18 +502,6 @@ func (s *Store) Update(fn func(tx *stm.Tx, b *Batch) error) (uint64, error) {
 		if s.shards[0].log == nil || b.n == 0 {
 			return nil
 		}
-		if len(s.shards) == 1 {
-			// The unsharded fast path, untouched: one log, bare payload,
-			// no GSN.
-			payload := EncodeOps(b.single)
-			if s.mode == ModeSync {
-				var err error
-				token, err = s.shards[0].log.AppendSync(tx, payload)
-				return err
-			}
-			token = s.shards[0].log.Append(tx, payload)
-			return nil
-		}
 		var err error
 		token, err = s.commitLanes(tx, b)
 		return err
@@ -557,31 +518,11 @@ func (s *Store) Update(fn func(tx *stm.Tx, b *Batch) error) (uint64, error) {
 	return token, nil
 }
 
-// commitLanes appends a sharded commit's per-lane records. Every record
-// carries the commit's GSN and full lane/LSN vector; a commit touching
-// several lanes flushes them through one multi-lock atomic deferral.
+// commitLanes appends a commit's per-lane records. Every record carries
+// the commit's GSN and full lane/LSN vector; a commit touching several
+// lanes flushes them through one multi-lock atomic deferral.
 func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 	touched := b.touched()
-
-	if s.mode == ModeSync {
-		// Serial transactions run exclusively, so each lane's next LSN
-		// is exactly LastAssigned+1 — predict the vector, then append.
-		pts := make([]LanePoint, len(touched))
-		for i, sh := range touched {
-			pts[i] = LanePoint{Lane: sh, LSN: s.shards[sh].log.LastAssigned(tx) + 1}
-		}
-		gsn := s.gsn.Add(1)
-		for i, sh := range touched {
-			lsn, err := s.shards[sh].log.AppendSyncWith(tx, gsn, encodeLaneRecord(gsn, pts, b.perShard[sh]))
-			if err != nil {
-				return 0, err
-			}
-			if lsn != pts[i].LSN {
-				panic(fmt.Sprintf("kv: serial lane %d assigned LSN %d, predicted %d", sh, lsn, pts[i].LSN))
-			}
-		}
-		return PackToken(touched[0], pts[0].LSN), nil
-	}
 
 	// Reserve every touched lane's LSN first (the payload header needs
 	// the complete vector), then draw the GSN. The order matters:
@@ -595,6 +536,19 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 		pts[i] = LanePoint{Lane: sh, LSN: s.shards[sh].log.Reserve(tx)}
 	}
 	gsn := s.gsn.Add(1)
+	token := PackToken(touched[0], pts[0].LSN)
+
+	if s.mode == ModeSync {
+		// A serial transaction can no longer abort: write and fsync
+		// each reserved record in place.
+		for i, sh := range touched {
+			if err := s.shards[sh].log.AppendSync(tx, pts[i].LSN, gsn, encodeLaneRecord(gsn, pts, b.perShard[sh])); err != nil {
+				return 0, err
+			}
+		}
+		return token, nil
+	}
+
 	for i, sh := range touched {
 		s.shards[sh].log.EnqueueReserved(tx, pts[i].LSN, gsn, encodeLaneRecord(gsn, pts, b.perShard[sh]))
 	}
@@ -609,7 +563,7 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 		}
 		wal.DeferFlushGroup(tx, logs)
 	}
-	return PackToken(touched[0], pts[0].LSN), nil
+	return token, nil
 }
 
 // View runs fn as a read-only transaction over the store.
@@ -720,16 +674,6 @@ func (s *Store) laneOf(token uint64) *wal.Log {
 	return s.shards[lane].log
 }
 
-// LastDurable returns lane 0's durability watermark inside tx,
-// serializing behind any in-flight flush on that lane (0 in ModeNone).
-// Sharded callers that want the full picture iterate Logs().
-func (s *Store) LastDurable(tx *stm.Tx) uint64 {
-	if s.shards[0].log == nil {
-		return 0
-	}
-	return s.shards[0].log.LastDurable(tx)
-}
-
 // Checkpoint snapshots every shard into its lane's new recovery base
 // and prunes covered segments, one lane at a time. Returns the sum of
 // the covered LSNs. A lane checkpoint can never capture half of a
@@ -757,10 +701,6 @@ func (s *Store) Checkpoint() (uint64, error) {
 	}
 	return total, nil
 }
-
-// Log exposes lane 0's WAL (nil in ModeNone) for stats and waits;
-// sharded callers usually want Logs.
-func (s *Store) Log() *wal.Log { return s.shards[0].log }
 
 // Logs returns every lane's WAL in lane order (nils in ModeNone).
 func (s *Store) Logs() []*wal.Log {

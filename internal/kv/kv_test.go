@@ -143,7 +143,7 @@ func TestReadOnlyUpdateNoRecord(t *testing.T) {
 	if lsn != 0 {
 		t.Fatalf("read-only update got LSN %d", lsn)
 	}
-	if st := s.Log().BatchStats(); st.Records != 0 {
+	if st := s.Logs()[0].BatchStats(); st.Records != 0 {
 		t.Fatalf("%d records logged by read-only update", st.Records)
 	}
 	if err := s.Close(); err != nil {
@@ -216,7 +216,7 @@ func TestGroupModeSharesFlushes(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := s.Log().BatchStats()
+	st := s.Logs()[0].BatchStats()
 	total := uint64(goroutines * perG)
 	if st.Records != total || st.Flushes >= total {
 		t.Fatalf("%d flushes for %d commits (records=%d)", st.Flushes, total, st.Records)

@@ -1,8 +1,8 @@
-// Lane support for the sharded store: the record-header codec that
-// stamps every multi-lane WAL record with its global commit sequence
-// number (GSN) and the full lane/LSN vector of its commit, the
-// durability token that routes waits to the right lane, and the
-// manifest file that pins a directory to its lane count.
+// Lane support for the store: the record-header codec that stamps every
+// WAL record with its global commit sequence number (GSN) and the full
+// lane/LSN vector of its commit, the durability token that routes waits
+// to the right lane, and the manifest file that pins a directory to its
+// lane count.
 package kv
 
 import (
@@ -31,9 +31,7 @@ type LanePoint struct {
 
 // Durability tokens. Update returns one token per durable commit; it
 // packs the home lane (the lowest touched lane) in the top 8 bits and
-// that lane's LSN in the low 56. Lane 0 tokens equal the plain LSN, so
-// a single-lane store's tokens are byte-identical to the unsharded
-// format — on the wire and in ackfiles.
+// that lane's LSN in the low 56, so a lane 0 token equals its plain LSN.
 //
 // Waiting on the token of a cross-shard commit suffices for the whole
 // batch: the cross-lane flush publishes no watermark (and therefore
@@ -52,13 +50,9 @@ func TokenLane(t uint64) int { return int(t >> tokenLSNBits) }
 // TokenLSN extracts the lane-local LSN of a token.
 func TokenLSN(t uint64) uint64 { return t & (1<<tokenLSNBits - 1) }
 
-// Multi-lane WAL record payload: a fixed header in front of the
-// EncodeOps bytes.
+// WAL record payload: a fixed header in front of the EncodeOps bytes.
 //
 //	u64 gsn, u8 nLanes, repeat nLanes { u8 lane, u64 lsn }, ops...
-//
-// Single-lane stores write bare EncodeOps payloads (no header), which
-// keeps their on-disk format identical to the pre-lane store.
 
 // encodeLaneRecord serializes one lane's record of a commit.
 func encodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
@@ -75,7 +69,7 @@ func encodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
 	return append(out, EncodeOps(ops)...)
 }
 
-// decodeLaneRecord parses a multi-lane record payload.
+// decodeLaneRecord parses a record payload.
 func decodeLaneRecord(b []byte) (gsn uint64, pts []LanePoint, ops []Op, err error) {
 	if len(b) < 9 {
 		return 0, nil, nil, fmt.Errorf("kv: truncated lane header (%d bytes)", len(b))
@@ -150,17 +144,19 @@ func readManifest(b wal.Backend) (int, error) {
 
 // detectLanes determines the on-disk lane count of backend b: lanes is
 // 0 for a fresh directory (the caller picks), and needManifest reports
-// that a manifest must be written once the count is decided. A
-// directory with WAL files but no readable manifest is an error — with
-// one exception: pre-manifest directories (unprefixed segment files
-// only) are adopted as single-lane stores, since their layout is
-// exactly what a 1-lane store writes.
+// that a manifest must be written once the count is decided. Every lane
+// lives under its "laneNN-" prefix; WAL files at the directory root are
+// the pre-lane layout, which is refused before the manifest is even
+// read — a 1-shard store of that layout also carries a "lanes 1"
+// manifest, and trusting it would open an empty lane 0 and silently
+// drop every acknowledged record. Lane files without a readable
+// manifest are refused too.
 func detectLanes(b wal.Backend) (lanes int, needManifest bool, err error) {
 	names, err := b.Names()
 	if err != nil {
 		return 0, false, fmt.Errorf("kv: list backend: %w", err)
 	}
-	hasManifest, hasRoot, hasLane := false, false, false
+	hasManifest, hasLane := false, false
 	for _, n := range names {
 		switch {
 		case n == manifestName:
@@ -168,13 +164,14 @@ func detectLanes(b wal.Backend) (lanes int, needManifest bool, err error) {
 		case strings.HasPrefix(n, "lane"):
 			hasLane = true
 		case strings.HasPrefix(n, "seg-") || strings.HasPrefix(n, "ckpt-"):
-			hasRoot = true
+			return 0, false, fmt.Errorf(
+				"kv: %s is a pre-lane layout WAL file (unprefixed segments at the directory root); only lane-layout directories (laneNN- files) can be opened, and the pre-lane layout is not migrated", n)
 		}
 	}
 	if hasManifest {
 		n, err := readManifest(b)
 		if err != nil {
-			if !hasRoot && !hasLane {
+			if !hasLane {
 				// A crash can tear the manifest of a store that never
 				// wrote a record; nothing is lost by re-initializing.
 				return 0, true, nil
@@ -186,18 +183,5 @@ func detectLanes(b wal.Backend) (lanes int, needManifest bool, err error) {
 	if hasLane {
 		return 0, false, fmt.Errorf("kv: lane files present but manifest missing (corrupt or mixed-layout directory)")
 	}
-	if hasRoot {
-		return 1, true, nil // pre-manifest single-lane directory: adopt it
-	}
 	return 0, true, nil
-}
-
-// laneBackend returns the backend namespace of one lane: the shared
-// backend itself for a single-lane store (pre-lane layout), a
-// "laneNN-"-prefixed namespace otherwise.
-func laneBackend(b wal.Backend, lane, lanes int) wal.Backend {
-	if lanes == 1 {
-		return b
-	}
-	return wal.SubBackend(b, wal.LanePrefix(lane))
 }

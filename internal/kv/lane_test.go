@@ -177,33 +177,85 @@ func TestShardCountValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyDirAdoption: a pre-manifest directory (root segment files,
-// no manifest) opens as a single-lane store and gains a manifest.
-func TestLegacyDirAdoption(t *testing.T) {
+// preLaneDir hand-builds a directory in the pre-lane layout: one WAL
+// at the directory root (unprefixed seg-/ckpt- files) holding bare
+// EncodeOps records, plus — as a 1-shard store wrote it once manifests
+// existed — a "lanes 1" manifest when withManifest is set.
+func preLaneDir(t *testing.T, withManifest bool) *simio.FS {
+	t.Helper()
 	fs := simio.NewFS(simio.Latency{})
-	s, _ := openStore(t, fs, Options{})
-	put(t, s, "old", "data")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 	b := wal.NewSimBackend(fs)
-	if err := b.Remove("manifest"); err != nil {
+	log, _, err := wal.Open(stm.NewDefault(), b, wal.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2, info := openStore(t, fs, Options{})
-	if info.Shards != 1 {
-		t.Fatalf("legacy dir adopted as %d lanes", info.Shards)
+	for i := 0; i < 3; i++ {
+		payload := EncodeOps([]Op{{Put: true, Key: fmt.Sprintf("k%d", i), Value: "acked"}})
+		var lsn uint64
+		if err := log.Runtime().Atomic(func(tx *stm.Tx) error {
+			lsn = log.Append(tx, payload)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		log.WaitDurable(lsn)
 	}
-	if v, ok := mustGet(t, s2, "old"); !ok || v != "data" {
-		t.Fatalf("legacy data lost: %q %v", v, ok)
-	}
-	if err := s2.Close(); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readManifest(b); err != nil {
-		t.Fatalf("adoption did not write a manifest: %v", err)
+	if withManifest {
+		if err := writeManifest(b, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// But a multi-lane layout without its manifest is corruption.
+	return fs
+}
+
+// TestPreLaneLayoutRejected: every store is a lane store, so a
+// directory holding root-level WAL files is refused with an error
+// naming the pre-lane layout, and left exactly as it was. The "lanes 1"
+// case matters most: trusting its manifest would open an empty lane 0
+// and silently drop the acknowledged records at the root.
+func TestPreLaneLayoutRejected(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		withManifest bool
+	}{{"one-lane-manifest", true}, {"pre-manifest", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := preLaneDir(t, c.withManifest)
+			before := make(map[string]string)
+			for _, n := range fs.Names() {
+				data, err := fs.ReadAll(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[n] = string(data)
+			}
+			for _, shards := range []int{0, 1} {
+				_, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), Options{Shards: shards})
+				if err == nil {
+					t.Fatalf("Shards=%d: pre-lane directory opened", shards)
+				}
+				if !strings.Contains(err.Error(), "pre-lane layout") {
+					t.Fatalf("Shards=%d: error %q does not name the pre-lane layout", shards, err)
+				}
+			}
+			after := fs.Names()
+			if len(after) != len(before) {
+				t.Fatalf("files changed: %v → %v", before, after)
+			}
+			for _, n := range after {
+				data, err := fs.ReadAll(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if old, ok := before[n]; !ok || old != string(data) {
+					t.Fatalf("file %s created or modified by the refused open", n)
+				}
+			}
+		})
+	}
+	// A lane layout without its manifest is corruption.
 	fs4 := simio.NewFS(simio.Latency{})
 	s4, _ := openStore(t, fs4, Options{Shards: 4})
 	put(t, s4, "k", "v")

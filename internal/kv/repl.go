@@ -16,13 +16,8 @@ import (
 // under.
 
 // DecodeLaneRecord parses a shipped WAL record payload the way this
-// store's recovery would: multi-lane stores carry the GSN + lane-vector
-// header, single-lane stores the bare op list (gsn 0, nil vector).
+// store's recovery would: the GSN + lane-vector header, then the ops.
 func (s *Store) DecodeLaneRecord(payload []byte) (gsn uint64, pts []LanePoint, ops []Op, err error) {
-	if len(s.shards) == 1 {
-		ops, err = DecodeOps(payload)
-		return 0, nil, ops, err
-	}
 	return decodeLaneRecord(payload)
 }
 
@@ -70,9 +65,8 @@ func DecodeSnapshotBlob(b []byte) (map[string]string, error) {
 	return decodeSnapshot(b)
 }
 
-// EncodeLaneRecord renders a multi-lane WAL record payload — the
-// inverse of DecodeLaneRecord on a sharded store, for tests and tools
-// that synthesize stream traffic.
+// EncodeLaneRecord renders a WAL record payload — the inverse of
+// DecodeLaneRecord, for tests and tools that synthesize stream traffic.
 func EncodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
 	return encodeLaneRecord(gsn, pts, ops)
 }

@@ -407,13 +407,9 @@ func (s *Server) handleConn(nc net.Conn) {
 				if s.store.WaitDurableCtx(ctx, p.resp.Water) != nil {
 					return
 				}
-				if p.resp.Water > 0 {
-					lane := kv.TokenLane(p.resp.Water)
-					if log := s.store.Logs()[lane]; log != nil {
-						p.resp.Water = kv.PackToken(lane, log.DurableWatermark())
-					}
-				} else if log := s.store.Log(); log != nil {
-					p.resp.Water = log.DurableWatermark()
+				lane := kv.TokenLane(p.resp.Water)
+				if log := s.store.Logs()[lane]; log != nil {
+					p.resp.Water = kv.PackToken(lane, log.DurableWatermark())
 				}
 			}
 			if p.resp.LSN > 0 {
@@ -562,7 +558,7 @@ func (s *Server) execute(req Request) pend {
 		}
 		p.resp.LSN = lsn
 	case OpWatch:
-		if s.store.Log() == nil {
+		if s.store.Mode() == kv.ModeNone {
 			if req.LSN > 0 {
 				return fail(errors.New("server: WATCH on a store with no WAL"))
 			}

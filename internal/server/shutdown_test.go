@@ -68,7 +68,7 @@ func TestShutdownDrainsAcks(t *testing.T) {
 		if resp.Status != StatusOK || resp.ID != uint64(i+1) {
 			t.Fatalf("ack %d = %+v", i, resp)
 		}
-		if w := store.Log().DurableWatermark(); w < resp.LSN {
+		if w := store.Logs()[0].DurableWatermark(); w < resp.LSN {
 			t.Fatalf("drained ack lsn=%d above durable watermark %d", resp.LSN, w)
 		}
 	}
@@ -182,12 +182,12 @@ func TestReplStreamShipsRecords(t *testing.T) {
 		if f.Lane != 0 || f.LSN != uint64(i+1) {
 			t.Fatalf("record %d = lane %d lsn %d", i, f.Lane, f.LSN)
 		}
-		ops, err := kv.DecodeOps(f.Payload)
+		_, _, ops, err := store.DecodeLaneRecord(f.Payload)
 		if err != nil || len(ops) != 1 {
 			t.Fatalf("record %d payload: %v (%d ops)", i, err, len(ops))
 		}
 	}
-	if w := store.Log().DurableWatermark(); recs[len(recs)-1].LSN > w {
+	if w := store.Logs()[0].DurableWatermark(); recs[len(recs)-1].LSN > w {
 		t.Fatalf("stream shipped lsn %d past durable watermark %d", recs[len(recs)-1].LSN, w)
 	}
 	// The follower hanging up must not wedge the server.

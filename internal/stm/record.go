@@ -53,9 +53,9 @@ const (
 
 	// WAL events are emitted by package wal. EvWALAppend is queued on the
 	// appending transaction (flushed only if it commits): Aux is the LSN
-	// it reserved, Var the log's lock owner-variable ID, and Aux2 the
-	// global commit sequence number when the store runs with multiple
-	// WAL lanes (0 on a single-lane store — GSNs start at 1). A commit
+	// it reserved, Var the log's lock owner-variable ID, and Aux2 the kv
+	// store's global commit sequence number (0 on a bare wal.Log — GSNs
+	// start at 1). A commit
 	// that touches several lanes emits one EvWALAppend per lane, all
 	// sharing the TxID and the GSN. EvWALDurable is emitted by a flush
 	// after its fsync returned: Aux is the new durable watermark — every

@@ -27,6 +27,10 @@ func runSnapshotMix(t *testing.T, depth int, seed uint64) {
 	for i := range vars {
 		vars[i] = stm.NewVar(100)
 	}
+	// StoreDirect publishes go to a var no transaction writes: a direct
+	// store of a value read earlier would overwrite a concurrent
+	// transfer's commit and break the sum the scans check.
+	direct := stm.NewVar(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -53,7 +57,7 @@ func runSnapshotMix(t *testing.T, depth int, seed uint64) {
 					return
 				}
 				if next(8) == 0 {
-					vars[i].StoreDirect(rt, vars[i].Load())
+					direct.StoreDirect(rt, op)
 				}
 			}
 		}(seed + uint64(w)*0x9e3779b97f4a7c15 + 1)
@@ -69,6 +73,7 @@ func runSnapshotMix(t *testing.T, depth int, seed uint64) {
 					for _, v := range vars {
 						sum += v.Get(tx)
 					}
+					_ = direct.Get(tx)
 					return nil
 				}); err != nil {
 					t.Error(err)

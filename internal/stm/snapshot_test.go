@@ -391,8 +391,29 @@ func TestSnapshotIdleChainsCleared(t *testing.T) {
 // TestSnapshotSerialWriterVisibility: serial-mode commits publish with
 // the lock bit held so concurrent snapshot readers (which bypass the
 // serial drain entirely) cannot tear across the multi-var write-back.
+// The writer runs serially either explicitly (AtomicSerial) or by
+// contention-manager escalation: with every optimistic commit forced to
+// conflict and SerializeAfter 1, each plain Atomic ends up serial.
 func TestSnapshotSerialWriterVisibility(t *testing.T) {
-	rt := NewDefault()
+	for _, c := range []struct {
+		name      string
+		rt        *Runtime
+		write     func(rt *Runtime, fn func(tx *Tx) error) error
+		escalates bool
+	}{
+		{"explicit", NewDefault(), (*Runtime).AtomicSerial, false},
+		{"escalated", New(Config{SerializeAfter: 1, Inject: &Inject{ConflictPct: 100}}), (*Runtime).Atomic, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snapshotSerialWriterVisibility(t, c.rt, c.write)
+			if c.escalates && c.rt.Snapshot().Serializations == 0 {
+				t.Fatal("no writer commit escalated to serial")
+			}
+		})
+	}
+}
+
+func snapshotSerialWriterVisibility(t *testing.T, rt *Runtime, write func(rt *Runtime, fn func(tx *Tx) error) error) {
 	const nVars = 8
 	vars := make([]*Var[int], nVars)
 	for i := range vars {
@@ -409,7 +430,7 @@ func TestSnapshotSerialWriterVisibility(t *testing.T) {
 				return
 			default:
 			}
-			if err := rt.AtomicSerial(func(tx *Tx) error {
+			if err := write(rt, func(tx *Tx) error {
 				for _, v := range vars {
 					v.Set(tx, round)
 				}

@@ -1,4 +1,4 @@
-// Lane plumbing for sharded stores: several Logs share one Backend
+// Lane plumbing for the kv store: several Logs share one Backend
 // (and therefore one crash domain — a simio crash plan's fsync counter
 // spans every lane) by namespacing their files with a per-lane prefix.
 // The KV store's recovery additionally needs to drop a suffix of a lane
@@ -11,11 +11,9 @@ import (
 	"strings"
 )
 
-// LanePrefix returns the file-name prefix lane files live under.
-// Lane 0 of a multi-lane store uses "lane00-", lane 1 "lane01-", and
-// so on; a single-lane store uses no prefix at all, which keeps its
-// directory layout byte-identical to the unsharded format (and lets it
-// adopt pre-lane directories).
+// LanePrefix returns the file-name prefix lane files live under: lane
+// 0 uses "lane00-", lane 1 "lane01-", and so on, whatever the store's
+// lane count.
 func LanePrefix(lane int) string { return fmt.Sprintf("lane%02d-", lane) }
 
 // SubBackend namespaces b under prefix: every file the returned

@@ -301,12 +301,12 @@ func (l *Log) Append(tx *stm.Tx, payload []byte) uint64 {
 	return lsn
 }
 
-// Reserve reserves the next LSN within tx without enqueueing a record.
-// Multi-lane commits use it to learn every touched lane's LSN before
+// Reserve reserves the next LSN within tx without writing a record.
+// The kv store uses it to learn every touched lane's LSN before
 // building the payloads (whose headers carry the full lane/LSN vector);
-// single-lane callers want Append. A Reserve must be followed by
-// EnqueueReserved in the same tx — a reserved-but-unenqueued LSN would
-// leave a permanent hole in the log.
+// callers that need no vector want Append. A Reserve must be followed
+// by EnqueueReserved or AppendSync in the same tx — a reserved-but-
+// unwritten LSN would leave a permanent hole in the log.
 //
 // Reserving reads and writes the lane's nextLSN Var, so two commits
 // appending to the same lane conflict and serialize: per lane, LSN
@@ -319,8 +319,8 @@ func (l *Log) Reserve(tx *stm.Tx) uint64 {
 }
 
 // EnqueueReserved enqueues payload under a previously Reserved lsn and
-// records the append event (gsn, the global commit sequence number of a
-// multi-lane store, rides Event.Aux2; pass 0 on a single-lane log). It
+// records the append event (gsn, the kv store's global commit sequence
+// number, rides Event.Aux2; pass 0 on a bare log). It
 // does not schedule a flush — follow with DeferFlush or DeferFlushGroup
 // in the same tx.
 func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, payload []byte) {
@@ -383,25 +383,17 @@ func DeferFlushGroup(tx *stm.Tx, logs []*Log) {
 	}, objs...)
 }
 
-// AppendSync appends and fsyncs payload immediately, inside a serial
-// (irrevocable) transaction — the fsync-per-commit baseline the paper's
-// irrevocability sections describe. tx must be serial (call
-// tx.Irrevocable() first); the write is safe exactly because the
-// transaction can no longer abort. A log driven through AppendSync must
-// not also be driven through Append.
-func (l *Log) AppendSync(tx *stm.Tx, payload []byte) (uint64, error) {
-	return l.AppendSyncWith(tx, 0, payload)
-}
-
-// AppendSyncWith is AppendSync carrying a global commit sequence number
-// for the append event (multi-lane stores in sync mode; pass 0 on a
-// single-lane log).
-func (l *Log) AppendSyncWith(tx *stm.Tx, gsn uint64, payload []byte) (uint64, error) {
+// AppendSync writes and fsyncs payload under lsn, which tx Reserved,
+// immediately, inside a serial (irrevocable) transaction — the
+// fsync-per-commit baseline the paper's irrevocability sections
+// describe. tx must be serial (call tx.Irrevocable() first); the write
+// is safe exactly because the transaction can no longer abort. gsn
+// rides the append event as in EnqueueReserved. A log driven through
+// AppendSync must not also be driven through Append.
+func (l *Log) AppendSync(tx *stm.Tx, lsn, gsn uint64, payload []byte) error {
 	if !tx.Serial() {
 		panic("wal: AppendSync outside a serial transaction")
 	}
-	lsn := l.nextLSN.Get(tx)
-	l.nextLSN.Set(tx, lsn+1)
 	if l.rt.Recording() {
 		tx.RecordOnCommit(stm.Event{Kind: stm.EvWALAppend, Owner: tx.Owner(), Var: l.Lock().VarID(), Aux: lsn, Aux2: gsn})
 	}
@@ -409,14 +401,14 @@ func (l *Log) AppendSyncWith(tx *stm.Tx, gsn uint64, payload []byte) (uint64, er
 	err := l.writeLocked([]Record{{LSN: lsn, Payload: payload}})
 	l.fmu.Unlock()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	l.durable.Set(tx, lsn)
 	l.noteBatch(1)
 	if l.rt.Recording() {
 		tx.RecordOnCommit(stm.Event{Kind: stm.EvWALDurable, Owner: tx.Owner(), Var: l.Lock().VarID(), Aux: lsn})
 	}
-	return lsn, nil
+	return nil
 }
 
 // LastDurable returns the durability watermark inside tx, subscribing to

@@ -311,11 +311,11 @@ func TestAppendSyncSerial(t *testing.T) {
 	rt, l, _ := openSim(t, fs, Options{})
 	for i := 1; i <= 5; i++ {
 		if err := rt.AtomicSerial(func(tx *stm.Tx) error {
-			lsn, err := l.AppendSync(tx, []byte(fmt.Sprintf("sync-%d", i)))
-			if err == nil && lsn != uint64(i) {
-				t.Errorf("AppendSync got LSN %d, want %d", lsn, i)
+			lsn := l.Reserve(tx)
+			if lsn != uint64(i) {
+				t.Errorf("Reserve got LSN %d, want %d", lsn, i)
 			}
-			return err
+			return l.AppendSync(tx, lsn, 0, []byte(fmt.Sprintf("sync-%d", i)))
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestAppendSyncSerial(t *testing.T) {
 			}
 		}()
 		_ = rt.Atomic(func(tx *stm.Tx) error {
-			_, _ = l.AppendSync(tx, []byte("x"))
+			_ = l.AppendSync(tx, l.Reserve(tx), 0, []byte("x"))
 			return nil
 		})
 	}()

@@ -64,6 +64,11 @@ echo "==> kv store + history checker (race detector, uncached, -cpu 1,2,4)"
 go test -race -count=1 -cpu 1,2,4 ./internal/kv
 go test -race -count=1 -cpu 1,2,4 ./internal/check
 
+# The WAL under the store: group-commit leader/follower election,
+# multi-lane flushes, serial appends, checkpoints and the tail stream.
+echo "==> wal tests (race detector, uncached, -cpu 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/wal
+
 # The trace exporter and offline checkers both depend on the recorder's
 # ordering contract (per-tx monotone spans, enqueue→start→end for every
 # deferred op); assert it, with the rest of the history package,
@@ -180,8 +185,8 @@ grep -q '"traceEvents"' "$tmptrace" || { echo "trace output malformed"; exit 1; 
 # The networked front end rides the same group-commit machinery; its
 # protocol codecs, pipelined reader/writer pairs, and shutdown paths are
 # all concurrency, so gate them under the race detector explicitly.
-echo "==> kvserver protocol + pipeline tests (race detector, uncached)"
-go test -race -count=1 ./internal/server
+echo "==> kvserver protocol + pipeline tests (race detector, uncached, -cpu 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/server
 
 # kvserver crash smoke: boot a real kvserver (OS-backed WAL, ephemeral
 # port), drive a pipelined connection ladder through kvloadgen (which
@@ -244,8 +249,8 @@ awk 'NF == 2' "$kvdir/ack4.txt" | grep -q . \
 # reconnect paths are all shared-state concurrency between the stream
 # goroutine and readers: gate internal/repl under the race detector
 # explicitly, uncached.
-echo "==> replication engine + stream tests (race detector, uncached)"
-go test -race -count=1 ./internal/repl
+echo "==> replication engine + stream tests (race detector, uncached, -cpu 1,2,4)"
+go test -race -count=1 -cpu 1,2,4 ./internal/repl
 
 # In-process replication torture: primary + server + replica in one
 # binary, writer threads with cross-lane batches, checkpoints rotating
